@@ -14,9 +14,17 @@
 //! the split-vertex network (every wavefront severs all ancestor→descendant
 //! paths), so `J*_G ≥ max_v 2·max(0, C(v) − M)` — matching the shape
 //! `max_v max(0, 2(C(v,G) − M))` the paper reports for \[13\].
+//!
+//! The maximum over *any* subset of vertices is still a lower bound, so
+//! the sweep evaluates one representative — the smallest vertex id — per
+//! Weisfeiler–Leman class ([`wl_classes`]). Vertices in one automorphism
+//! orbit have equal `C(v)`, so where the classes are orbits (the FFT,
+//! BHK, matmul and diamond families) the result equals the full
+//! per-vertex sweep's at a fraction of the max-flows; where every class
+//! is a singleton it *is* the full sweep.
 
 use crate::maxflow::{FlowNetwork, INF};
-use graphio_graph::CompGraph;
+use graphio_graph::{wl_classes, CompGraph};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -31,17 +39,18 @@ pub const HUGE_SWEEP_CUTOFF: usize = 100_000;
 /// Per-vertex flow cap above [`HUGE_SWEEP_CUTOFF`] (see [`wavefront_cut`]).
 pub const HUGE_FLOW_CAP: u64 = 32;
 
-/// Vertex-sweep strategy for the per-vertex min cuts.
+/// Vertex-sweep strategy over the class representatives (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub enum VertexSweep {
-    /// Evaluate every vertex (the full baseline).
+    /// Evaluate every class representative (the full baseline).
     All,
-    /// Evaluate a deterministic random sample of this many vertices —
-    /// still a sound lower bound (the true baseline maximizes over more
-    /// vertices), used to keep huge graphs tractable exactly as wall-clock
-    /// cutoffs did in the paper's evaluation.
+    /// Evaluate a deterministic random sample of this many class
+    /// representatives — still a sound lower bound (the true baseline
+    /// maximizes over more vertices), used to keep huge graphs tractable
+    /// exactly as wall-clock cutoffs did in the paper's evaluation.
     Sample {
-        /// Number of vertices to evaluate.
+        /// Number of representatives to evaluate.
         count: usize,
         /// Sampling seed.
         seed: u64,
@@ -58,19 +67,21 @@ pub struct ConvexMinCutOptions {
 }
 
 impl Default for ConvexMinCutOptions {
+    /// The full sweep on as many workers as the process-global thread
+    /// knob allows (what `--threads N` sets).
     fn default() -> Self {
         ConvexMinCutOptions {
             sweep: VertexSweep::All,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            threads: graphio_linalg::threads::effective_threads(),
         }
     }
 }
 
 impl ConvexMinCutOptions {
     /// Sweep settings scaled to graph size — the single tuning schedule
-    /// shared by the CLI and the bench harness: the full per-vertex sweep
-    /// above a few thousand vertices is replaced by a deterministic
-    /// 512-vertex sample (still a sound lower bound; the true baseline
+    /// shared by the CLI and the bench harness: the full sweep above a few
+    /// thousand vertices is replaced by a deterministic 512-representative
+    /// sample (still a sound lower bound; the true baseline
     /// maximizes over more vertices), standing in for the wall-clock
     /// cutoffs the paper applied to this method.
     pub fn for_graph_size(n: usize) -> Self {
@@ -98,11 +109,11 @@ impl ConvexMinCutOptions {
 pub struct ConvexMinCutResult {
     /// The lower bound `max_v 2·max(0, C(v) − M)`.
     pub bound: u64,
-    /// A vertex attaining the maximum cut value.
+    /// The first evaluated vertex attaining the maximum cut value.
     pub best_vertex: usize,
     /// The maximum cut value `max_v C(v)` observed.
     pub max_cut: u64,
-    /// Number of vertices actually evaluated.
+    /// Number of vertices actually evaluated (one max-flow problem each).
     pub vertices_evaluated: usize,
 }
 
@@ -121,33 +132,27 @@ pub fn convex_min_cut_bound(
             vertices_evaluated: 0,
         };
     }
-    let vertices: Vec<usize> = match &opts.sweep {
-        VertexSweep::All => (0..n).collect(),
-        VertexSweep::Sample { count, seed } => {
-            let mut all: Vec<usize> = (0..n).collect();
-            let mut rng = StdRng::seed_from_u64(*seed);
-            all.shuffle(&mut rng);
-            all.truncate((*count).max(1).min(n));
-            all
-        }
-    };
+    let mut vertices = class_representatives(g);
+    if let VertexSweep::Sample { count, seed } = opts.sweep {
+        let mut rng = StdRng::seed_from_u64(seed);
+        vertices.shuffle(&mut rng);
+        vertices.truncate(count.max(1).min(vertices.len()));
+    }
 
     let threads = opts.threads.max(1).min(vertices.len().max(1));
+    let sweep = |vs: &[usize]| {
+        let mut net = SweepNetwork::new(g);
+        vs.iter().map(|&v| (v, net.cut(v))).collect::<Vec<_>>()
+    };
     let results: Vec<(usize, u64)> = if threads == 1 {
-        vertices.iter().map(|&v| (v, wavefront_cut(g, v))).collect()
+        sweep(&vertices)
     } else {
         let chunk = vertices.len().div_ceil(threads);
         let mut out: Vec<(usize, u64)> = Vec::with_capacity(vertices.len());
         std::thread::scope(|s| {
             let handles: Vec<_> = vertices
                 .chunks(chunk)
-                .map(|vs| {
-                    s.spawn(move || {
-                        vs.iter()
-                            .map(|&v| (v, wavefront_cut(g, v)))
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|vs| s.spawn(move || sweep(vs)))
                 .collect();
             for h in handles {
                 out.extend(h.join().expect("min-cut worker panicked"));
@@ -173,6 +178,18 @@ pub fn convex_min_cut_bound(
     }
 }
 
+/// The smallest vertex of every [`wl_classes`] class, ascending.
+fn class_representatives(g: &CompGraph) -> Vec<usize> {
+    let mut reps = Vec::new();
+    for (v, &class) in wl_classes(g).iter().enumerate() {
+        // Classes are numbered by first appearance.
+        if class as usize == reps.len() {
+            reps.push(v);
+        }
+    }
+    reps
+}
+
 /// The minimum wavefront `C(v)` over *convex* (down-closed) schedule
 /// prefixes `S` with `Anc(v) ∪ {v} ⊆ S` and `Desc(v) ∩ S = ∅`, computed
 /// exactly as a projection/closure-style min cut.
@@ -188,6 +205,10 @@ pub fn convex_min_cut_bound(
 ///   exactly when `u ∈ S` has some child in `T` — i.e. when `u` is in the
 ///   wavefront — and is counted once however many children cross.
 ///
+/// The implication arcs alone would already pin `Anc(v)` and `Desc(v)`
+/// once `v` and its children are pinned, but the direct pins keep Dinic's
+/// augmenting paths short.
+///
 /// A plain reachability cut (without the implication arcs) is useless
 /// here: on unique-path networks like the butterfly every
 /// ancestor-to-descendant path runs through `v` itself, collapsing the cut
@@ -201,38 +222,67 @@ pub fn convex_min_cut_bound(
 /// a pure function of the graph size, so results stay deterministic per
 /// graph and cache keys need no new fields.
 pub fn wavefront_cut(g: &CompGraph, v: usize) -> u64 {
-    let desc = g.descendants(v);
-    if desc.is_empty() {
-        return 0;
+    SweepNetwork::new(g).cut(v)
+}
+
+/// The network of [`wavefront_cut`], built once per sweep worker. Every
+/// vertex carries a source and a sink arc of capacity 0; evaluating `v`
+/// arms the pins of `v`, solves, and restores the network.
+struct SweepNetwork<'g> {
+    g: &'g CompGraph,
+    net: FlowNetwork,
+    /// Edge ids of `s → u` and `u → t`, per vertex `u`.
+    pins: Vec<(usize, usize)>,
+}
+
+impl<'g> SweepNetwork<'g> {
+    fn new(g: &'g CompGraph) -> Self {
+        let n = g.n();
+        // Node layout: vertex u -> u, gadget c_u -> n + u, s -> 2n, t -> 2n+1.
+        let mut net = FlowNetwork::new(2 * n + 2);
+        for u in 0..n {
+            if g.out_degree(u) > 0 {
+                net.add_edge(u, n + u, 1);
+            }
+        }
+        for (u, w) in g.edges() {
+            net.add_edge(n + u, w, INF); // penalty gadget reaches the child
+            net.add_edge(w, u, INF); // down-closure implication
+        }
+        let pins = (0..n)
+            .map(|u| (net.add_edge(2 * n, u, 0), net.add_edge(u, 2 * n + 1, 0)))
+            .collect();
+        SweepNetwork { g, net, pins }
     }
-    let anc = g.ancestors(v);
-    let n = g.n();
-    // Node layout: vertex u -> u, gadget c_u -> n + u, s -> 2n, t -> 2n+1.
-    let s = 2 * n;
-    let t = 2 * n + 1;
-    let mut net = FlowNetwork::new(2 * n + 2);
-    for u in 0..n {
-        if g.out_degree(u) > 0 {
-            net.add_edge(u, n + u, 1);
+
+    fn cut(&mut self, v: usize) -> u64 {
+        let desc = self.g.descendants(v);
+        if desc.is_empty() {
+            return 0;
+        }
+        let mut anc = self.g.ancestors(v);
+        anc.push(v);
+        self.arm(&anc, &desc, INF);
+        let n = self.g.n();
+        let cap = if n > HUGE_SWEEP_CUTOFF {
+            HUGE_FLOW_CAP
+        } else {
+            u64::MAX
+        };
+        let flow = self.net.max_flow_capped(2 * n, 2 * n + 1, cap);
+        self.net.reset();
+        self.arm(&anc, &desc, 0);
+        flow
+    }
+
+    fn arm(&mut self, sources: &[usize], sinks: &[usize], cap: u64) {
+        for &a in sources {
+            self.net.set_capacity(self.pins[a].0, cap);
+        }
+        for &d in sinks {
+            self.net.set_capacity(self.pins[d].1, cap);
         }
     }
-    for (u, w) in g.edges() {
-        net.add_edge(n + u, w, INF); // penalty gadget reaches the child
-        net.add_edge(w, u, INF); // down-closure implication
-    }
-    net.add_edge(s, v, INF);
-    for &a in &anc {
-        net.add_edge(s, a, INF);
-    }
-    for &d in &desc {
-        net.add_edge(d, t, INF);
-    }
-    let cap = if n > HUGE_SWEEP_CUTOFF {
-        HUGE_FLOW_CAP
-    } else {
-        u64::MAX
-    };
-    net.max_flow_capped(s, t, cap)
 }
 
 #[cfg(test)]
@@ -241,6 +291,49 @@ mod tests {
     use graphio_graph::generators::{
         bhk_hypercube, fft_butterfly, inner_product, naive_matmul, path_dag,
     };
+
+    /// `C(v)` on a network built for `v` alone, its pins added as plain
+    /// arcs.
+    fn fresh_network_cut(g: &CompGraph, v: usize) -> u64 {
+        let desc = g.descendants(v);
+        if desc.is_empty() {
+            return 0;
+        }
+        let n = g.n();
+        let (s, t) = (2 * n, 2 * n + 1);
+        let mut net = FlowNetwork::new(2 * n + 2);
+        for u in 0..n {
+            if g.out_degree(u) > 0 {
+                net.add_edge(u, n + u, 1);
+            }
+        }
+        for (u, w) in g.edges() {
+            net.add_edge(n + u, w, INF);
+            net.add_edge(w, u, INF);
+        }
+        for a in g.ancestors(v).into_iter().chain([v]) {
+            net.add_edge(s, a, INF);
+        }
+        for d in desc {
+            net.add_edge(d, t, INF);
+        }
+        net.max_flow(s, t)
+    }
+
+    #[test]
+    fn rearmed_network_matches_a_fresh_one() {
+        use graphio_graph::generators::{erdos_renyi_dag, layered_random_dag};
+        let mut graphs = vec![fft_butterfly(3), bhk_hypercube(4), naive_matmul(2)];
+        graphs.extend((0..6).map(|seed| erdos_renyi_dag(30, 0.15, seed)));
+        graphs.extend((0..6).map(|seed| layered_random_dag(4, 5, 0.5, seed)));
+        for g in &graphs {
+            // One network re-armed across the whole sweep.
+            let mut net = SweepNetwork::new(g);
+            for v in 0..g.n() {
+                assert_eq!(net.cut(v), fresh_network_cut(g, v), "v={v}");
+            }
+        }
+    }
 
     #[test]
     fn paths_have_unit_cuts() {
@@ -328,12 +421,14 @@ mod tests {
             &g,
             2,
             &ConvexMinCutOptions {
-                sweep: VertexSweep::Sample { count: 20, seed: 3 },
+                sweep: VertexSweep::Sample { count: 3, seed: 3 },
                 ..Default::default()
             },
         );
         assert!(sampled.bound <= full.bound);
-        assert_eq!(sampled.vertices_evaluated, 20);
+        // fft(5) has 6 classes (one per level); 3 of them are sampled.
+        assert_eq!(full.vertices_evaluated, 6);
+        assert_eq!(sampled.vertices_evaluated, 3);
     }
 
     #[test]

@@ -16,9 +16,14 @@ struct Edge {
 }
 
 /// A flow network under construction / being solved.
+///
+/// Solving consumes residual capacities; [`FlowNetwork::reset`] restores
+/// them, so one network can be re-solved after re-arming some arcs with
+/// [`FlowNetwork::set_capacity`].
 #[derive(Debug, Clone)]
 pub struct FlowNetwork {
-    /// Forward+backward edges; edge `i^1` is the reverse of edge `i`.
+    /// Forward+backward edges with their residual capacities; edge `i^1`
+    /// is the reverse of edge `i`.
     edges: Vec<Edge>,
     /// Adjacency: edge indices per node.
     adj: Vec<Vec<u32>>,
@@ -43,11 +48,11 @@ impl FlowNetwork {
     }
 
     /// Adds a directed edge `from → to` with capacity `cap` (plus the
-    /// implicit residual reverse edge of capacity 0).
+    /// implicit residual reverse edge of capacity 0) and returns its id.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) {
+    pub fn add_edge(&mut self, from: usize, to: usize, cap: u64) -> usize {
         assert!(
             from < self.nodes() && to < self.nodes(),
             "edge out of range"
@@ -60,6 +65,25 @@ impl FlowNetwork {
         });
         self.adj[from].push(id);
         self.adj[to].push(id + 1);
+        id as usize
+    }
+
+    /// Sets the capacity of edge `edge` (an id from
+    /// [`FlowNetwork::add_edge`]). Call it on a network at rest — freshly
+    /// built or [`reset`](FlowNetwork::reset) — not mid-solve.
+    pub fn set_capacity(&mut self, edge: usize, cap: u64) {
+        self.edges[edge].cap = cap;
+        self.edges[edge ^ 1].cap = 0;
+    }
+
+    /// Undoes every flow pushed so far, restoring the capacities as built
+    /// (or last set). Pushing flow only moves capacity between an edge and
+    /// its reverse, so the pair's sum is always the edge's capacity.
+    pub fn reset(&mut self) {
+        for pair in self.edges.chunks_exact_mut(2) {
+            pair[0].cap += pair[1].cap;
+            pair[1].cap = 0;
+        }
     }
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
@@ -103,7 +127,8 @@ impl FlowNetwork {
         0
     }
 
-    /// Computes the maximum `s`–`t` flow (destroys capacities; one-shot).
+    /// Computes the maximum `s`–`t` flow (consumes residual capacities
+    /// until the next [`FlowNetwork::reset`]).
     ///
     /// # Panics
     /// Panics if `s == t` or either is out of range.
@@ -181,6 +206,25 @@ mod tests {
         net.add_edge(4, 3, 7);
         net.add_edge(4, 5, 4);
         assert_eq!(net.max_flow(0, 5), 23);
+    }
+
+    #[test]
+    fn reset_and_rearm_resolve_the_same_network() {
+        let mut net = FlowNetwork::new(4);
+        net.add_edge(0, 1, 1);
+        net.add_edge(0, 2, 1);
+        let a = net.add_edge(1, 3, 0);
+        let b = net.add_edge(2, 3, 0);
+        assert_eq!(net.max_flow(0, 3), 0);
+        net.reset();
+        net.set_capacity(a, INF);
+        assert_eq!(net.max_flow(0, 3), 1);
+        net.reset();
+        net.set_capacity(b, INF);
+        assert_eq!(net.max_flow(0, 3), 2);
+        net.reset();
+        net.set_capacity(a, 0);
+        assert_eq!(net.max_flow(0, 3), 1);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! engine's caches across rows — the cold one-shot cost *is* the quantity
 //! being measured. The min-cut sweep runs un-sampled (that is the method
 //! being timed) and is cut off once a row exceeds the budget, mirroring
-//! the paper's 1-day cutoff.
+//! the paper's 1-day cutoff. It evaluates one vertex per Weisfeiler–Leman
+//! class (`l + 1` on this graph), not the paper's one per vertex, so its
+//! column grows far slower than the paper's.
 
 use super::bound_options_for;
 use crate::table::{Cell, Table};

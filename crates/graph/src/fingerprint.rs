@@ -18,6 +18,10 @@
 //! 3. after `O(log n)` rounds the fingerprint is a hash of the sorted
 //!    final color multiset together with the vertex and edge counts.
 //!
+//! [`wl_classes`] runs the same refinement until the partition is stable
+//! and returns the vertex classes; the convex min-cut baseline evaluates
+//! one vertex per class.
+//!
 //! Every ingredient is a set or sorted multiset, so any relabeling
 //! `π: V → V` maps each vertex to the same color sequence and the whole
 //! graph to the same [`Fingerprint`]. The converse (fingerprint-equal ⇒
@@ -29,6 +33,7 @@
 
 use crate::dag::CompGraph;
 use crate::ops::OpKind;
+use std::collections::HashMap;
 use std::fmt;
 
 /// A 128-bit order-independent structural hash of a [`CompGraph`].
@@ -69,7 +74,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// A vertex color: two independently seeded 64-bit lanes, so the combined
 /// fingerprint behaves like a 128-bit hash rather than a 64-bit one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct Color(u64, u64);
 
 const LANE0: u64 = 0x8C3F_27A1_5E94_D6B7;
@@ -139,10 +144,26 @@ fn longest_path_depths(g: &CompGraph, forward: bool) -> Vec<u64> {
     depth
 }
 
-/// Computes the canonical structural fingerprint of `g` (see module docs).
-pub fn fingerprint(g: &CompGraph) -> Fingerprint {
+/// How long [`refine`] runs.
+#[derive(Debug, Clone, Copy)]
+enum Rounds {
+    /// Exactly this many rounds.
+    Fixed(usize),
+    /// Until a round splits no class (the stable coloring).
+    UntilStable,
+}
+
+/// Weisfeiler–Leman color refinement (steps 1–2 of the module docs):
+/// round-0 colors from op, degrees and longest-path depth/height, then
+/// rounds that re-color every vertex from its own color plus the sorted
+/// multisets of its parents' and children's colors.
+///
+/// Each new color hashes the old one, so a round can only split classes;
+/// once a round leaves the class count unchanged the partition is stable
+/// and every later round would leave it unchanged too. `UntilStable`
+/// therefore ends after at most `n` rounds.
+fn refine(g: &CompGraph, rounds: Rounds) -> Vec<Color> {
     let n = g.n();
-    // Round 0: op + degrees + exact longest-path depth/height.
     let depths = longest_path_depths(g, true);
     let heights = longest_path_depths(g, false);
     let mut colors: Vec<Color> = (0..n)
@@ -155,14 +176,20 @@ pub fn fingerprint(g: &CompGraph) -> Fingerprint {
             c
         })
         .collect();
+    let count_classes = |colors: &[Color]| {
+        let mut sorted = colors.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len()
+    };
+    let (limit, mut classes) = match rounds {
+        Rounds::Fixed(limit) => (limit, 0),
+        Rounds::UntilStable => (usize::MAX, count_classes(&colors)),
+    };
 
-    // O(log n) refinement rounds: enough for the neighborhood signature of
-    // every vertex to reach across the graphs' typical diameters while
-    // keeping fingerprinting O((n + m) log n).
-    let rounds = usize::BITS as usize - n.leading_zeros() as usize + 2;
     let mut next = colors.clone();
     let mut scratch: Vec<Color> = Vec::new();
-    for _ in 0..rounds {
+    for _ in 0..limit {
         for v in 0..n {
             let mut c = colors[v];
             c.absorb_u64(0x5ca1ab1e); // domain-separate self from neighbors
@@ -178,7 +205,43 @@ pub fn fingerprint(g: &CompGraph) -> Fingerprint {
             next[v] = c;
         }
         std::mem::swap(&mut colors, &mut next);
+        if let Rounds::UntilStable = rounds {
+            let refined = count_classes(&colors);
+            if refined == classes {
+                break;
+            }
+            classes = refined;
+        }
     }
+    colors
+}
+
+/// The stable Weisfeiler–Leman partition of `g`'s vertices: `classes[v]`
+/// is `v`'s class, numbered in order of first appearance, so class `c`'s
+/// smallest vertex is the `c`-th vertex to open a new class.
+///
+/// Vertices in one automorphism orbit always share a class (refinement is
+/// relabeling-invariant). The converse can fail in general: a class may
+/// merge several orbits.
+pub fn wl_classes(g: &CompGraph) -> Vec<u32> {
+    let mut ids: HashMap<Color, u32> = HashMap::new();
+    refine(g, Rounds::UntilStable)
+        .into_iter()
+        .map(|c| {
+            let next = ids.len() as u32;
+            *ids.entry(c).or_insert(next)
+        })
+        .collect()
+}
+
+/// Computes the canonical structural fingerprint of `g` (see module docs).
+pub fn fingerprint(g: &CompGraph) -> Fingerprint {
+    let n = g.n();
+    // O(log n) refinement rounds: enough for the neighborhood signature of
+    // every vertex to reach across the graphs' typical diameters while
+    // keeping fingerprinting O((n + m) log n).
+    let rounds = usize::BITS as usize - n.leading_zeros() as usize + 2;
+    let mut colors = refine(g, Rounds::Fixed(rounds));
 
     // The fingerprint is the hash of the sorted color multiset plus the
     // global counts, so vertex order never matters.
@@ -302,6 +365,39 @@ mod tests {
         assert_eq!(uneven.n(), even.n());
         assert_eq!(uneven.num_edges(), even.num_edges());
         assert_ne!(fingerprint(&uneven), fingerprint(&even));
+    }
+
+    #[test]
+    fn wl_classes_are_the_butterfly_levels() {
+        for l in 2..=6 {
+            let g = fft_butterfly(l);
+            let classes = wl_classes(&g);
+            let width = g.n() / (l + 1);
+            // Vertices are laid out level by level, so class ids count up
+            // one per level in first-appearance order.
+            let expected: Vec<u32> = (0..g.n()).map(|v| (v / width) as u32).collect();
+            assert_eq!(classes, expected, "l={l}");
+        }
+    }
+
+    #[test]
+    fn wl_classes_are_relabeling_invariant() {
+        let g = naive_matmul(3);
+        let n = g.n() as u32;
+        let perm: Vec<u32> = (0..n).map(|v| (v.wrapping_mul(31) + 7) % n).collect();
+        let h = relabel(&g, &perm);
+        let (a, b) = (wl_classes(&g), wl_classes(&h));
+        // Same partition, moved by the relabeling.
+        for u in 0..g.n() {
+            for v in 0..g.n() {
+                assert_eq!(
+                    a[u] == a[v],
+                    b[perm[u] as usize] == b[perm[v] as usize],
+                    "u={u} v={v}"
+                );
+            }
+        }
+        assert!(wl_classes(&GraphBuilder::new().build().unwrap()).is_empty());
     }
 
     #[test]

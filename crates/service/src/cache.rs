@@ -270,6 +270,7 @@ impl SessionCache {
                 engine.spectrum_misses += s.spectrum_misses;
                 engine.spectrum_hits += s.spectrum_hits;
                 engine.mincut_misses += s.mincut_misses;
+                engine.mincut_flows += s.mincut_flows;
                 engine.mincut_hits += s.mincut_hits;
             }
             bytes += this_shard;

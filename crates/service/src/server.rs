@@ -940,6 +940,7 @@ fn handle_stats(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool) {
                 ),
                 ("spectrum_hits".to_string(), num(cache.engine.spectrum_hits)),
                 ("mincut_misses".to_string(), num(cache.engine.mincut_misses)),
+                ("mincut_flows".to_string(), num(cache.engine.mincut_flows)),
                 ("mincut_hits".to_string(), num(cache.engine.mincut_hits)),
             ]),
         ),
@@ -1072,6 +1073,11 @@ fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool)
         "graphio_engine_mincut_misses_total",
         &[],
         cache.engine.mincut_misses,
+    );
+    m.counter(
+        "graphio_engine_mincut_flows_total",
+        &[],
+        cache.engine.mincut_flows,
     );
 
     m.counter(

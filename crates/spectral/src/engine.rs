@@ -169,13 +169,27 @@ impl SpectrumKey {
 /// Cache key for the convex min-cut baseline (`threads` is excluded — it
 /// does not change the result). Public for the same serialization reasons
 /// as [`SpectrumKey`].
+///
+/// `All` and `Sample` key the per-vertex sweep of older builds, whose
+/// sampled results differ from the class sweep's. They still decode, so
+/// existing stores open, but [`CutKey::for_options`] never produces them:
+/// their records are never served.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CutKey {
-    /// The full per-vertex sweep.
+    /// The per-vertex sweep over every vertex (older builds).
     All,
-    /// A deterministic random sample of vertices.
+    /// A deterministic random sample of vertices (older builds).
     Sample {
         /// Number of vertices evaluated.
+        count: usize,
+        /// Sampling seed.
+        seed: u64,
+    },
+    /// The sweep over every Weisfeiler–Leman class representative.
+    Classes,
+    /// A deterministic random sample of class representatives.
+    ClassSample {
+        /// Number of representatives evaluated.
         count: usize,
         /// Sampling seed.
         seed: u64,
@@ -186,8 +200,8 @@ impl CutKey {
     /// The cache key [`Analyzer::min_cut`] uses for `opts`.
     pub fn for_options(opts: &ConvexMinCutOptions) -> Self {
         match opts.sweep {
-            VertexSweep::All => CutKey::All,
-            VertexSweep::Sample { count, seed } => CutKey::Sample { count, seed },
+            VertexSweep::All => CutKey::Classes,
+            VertexSweep::Sample { count, seed } => CutKey::ClassSample { count, seed },
         }
     }
 }
@@ -234,6 +248,9 @@ pub struct EngineStats {
     pub spectrum_hits: u64,
     /// Min-cut sweeps actually executed.
     pub mincut_misses: u64,
+    /// Per-vertex max-flow problems those sweeps solved (one per
+    /// evaluated class representative).
+    pub mincut_flows: u64,
     /// Min-cut requests served from cache.
     pub mincut_hits: u64,
     /// Compose plans (decomposition + component fingerprinting) actually
@@ -275,6 +292,7 @@ struct EngineCore {
     spectrum_misses: AtomicU64,
     mincut_hits: AtomicU64,
     mincut_misses: AtomicU64,
+    mincut_flows: AtomicU64,
     compose_plans: AtomicU64,
 }
 
@@ -289,6 +307,7 @@ impl EngineCore {
             spectrum_misses: AtomicU64::new(0),
             mincut_hits: AtomicU64::new(0),
             mincut_misses: AtomicU64::new(0),
+            mincut_flows: AtomicU64::new(0),
             compose_plans: AtomicU64::new(0),
         }
     }
@@ -409,6 +428,8 @@ impl EngineCore {
         // Memory 0 keeps the cached result M-independent; bounds for a
         // concrete M are derived in `min_cut_bound`.
         let result = convex_min_cut_bound(g, 0, opts);
+        self.mincut_flows
+            .fetch_add(result.vertices_evaluated as u64, Ordering::Relaxed);
         *value = Some(result.clone());
         result
     }
@@ -531,6 +552,7 @@ impl EngineCore {
             spectrum_misses: self.spectrum_misses.load(Ordering::Relaxed),
             spectrum_hits: self.spectrum_hits.load(Ordering::Relaxed),
             mincut_misses: self.mincut_misses.load(Ordering::Relaxed),
+            mincut_flows: self.mincut_flows.load(Ordering::Relaxed),
             mincut_hits: self.mincut_hits.load(Ordering::Relaxed),
             compose_plans: self.compose_plans.load(Ordering::Relaxed),
         }
@@ -981,6 +1003,9 @@ mod tests {
         let stats = an.stats();
         assert_eq!(stats.mincut_misses, 1);
         assert_eq!(stats.mincut_hits, 1);
+        // One max-flow per class: fft(4) has one class per level.
+        assert_eq!(stats.mincut_flows, 5);
+        assert_eq!(CutKey::for_options(&opts), CutKey::Classes);
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! spectrum := key  len:u32 [eig:f64bits-u64]*len
 //! key      := kind:u8 h:u64 (0:u8 | 1:u8 subspace:u64 tol:u64
 //!                            max_sweeps:u64 seed:u64)
-//! cut      := (0:u8 | 1:u8 count:u64 seed:u64)
-//!             bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
+//! cut      := sweep bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
+//! sweep    := 0:u8 | 1:u8 count:u64 seed:u64   (per-vertex: older builds)
+//!           | 2:u8 | 3:u8 count:u64 seed:u64   (class sweep)
 //! dec      := target:u64 cut_edges:u64 invariant:u8 ncomp:u32
 //!             [fp:u128 len:u32 [v:u32]*len]*ncomp
 //! ```
@@ -461,6 +462,12 @@ fn put_cut(w: &mut Writer, key: &CutKey, cut: &ConvexMinCutResult) {
             w.put_u64(*count as u64);
             w.put_u64(*seed);
         }
+        CutKey::Classes => w.put_u8(2),
+        CutKey::ClassSample { count, seed } => {
+            w.put_u8(3);
+            w.put_u64(*count as u64);
+            w.put_u64(*seed);
+        }
     }
     w.put_u64(cut.bound);
     w.put_u64(cut.best_vertex as u64);
@@ -472,6 +479,11 @@ fn get_cut(r: &mut Reader<'_>) -> Result<(CutKey, ConvexMinCutResult), CodecErro
     let key = match r.get_u8()? {
         0 => CutKey::All,
         1 => CutKey::Sample {
+            count: r.get_u64()? as usize,
+            seed: r.get_u64()?,
+        },
+        2 => CutKey::Classes,
+        3 => CutKey::ClassSample {
             count: r.get_u64()? as usize,
             seed: r.get_u64()?,
         },
@@ -987,6 +999,27 @@ mod tests {
                         vertices_evaluated: 512,
                     },
                 ),
+                (
+                    CutKey::Classes,
+                    ConvexMinCutResult {
+                        bound: 4,
+                        best_vertex: 2,
+                        max_cut: 3,
+                        vertices_evaluated: 3,
+                    },
+                ),
+                (
+                    CutKey::ClassSample {
+                        count: 512,
+                        seed: 0xC07,
+                    },
+                    ConvexMinCutResult {
+                        bound: 4,
+                        best_vertex: 2,
+                        max_cut: 3,
+                        vertices_evaluated: 3,
+                    },
+                ),
             ],
             decompositions: vec![DecompositionRecord {
                 target: 512,
@@ -1106,6 +1139,80 @@ mod tests {
         // what an existing store's records carry. (Value pinned from the
         // implementation validated against the standard vectors above.)
         assert_eq!(crc32(&bytes), 0xFF6C_CEED);
+    }
+
+    /// Golden pin for the class-sweep cut keys (tags 2 and 3), which sit
+    /// beside the per-vertex tags 0 and 1 of older builds.
+    #[test]
+    fn golden_class_sweep_cut_bytes_are_stable() {
+        let mut b = GraphBuilder::new();
+        let x = b.add_vertex(OpKind::Input);
+        let y = b.add_vertex(OpKind::Add);
+        b.add_edge(x, y);
+        let g = b.build().unwrap();
+        let cut = ConvexMinCutResult {
+            bound: 2,
+            best_vertex: 0,
+            max_cut: 1,
+            vertices_evaluated: 2,
+        };
+        let export = SessionExport {
+            spectra: vec![],
+            cuts: vec![
+                (CutKey::Classes, cut.clone()),
+                (
+                    CutKey::ClassSample {
+                        count: 512,
+                        seed: 0xC07,
+                    },
+                    cut,
+                ),
+            ],
+            decompositions: vec![],
+        };
+        let bytes = encode_session(&g, &export);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "02",               // session version
+                "02000000",         // n = 2
+                "00",               // op[0] = Input
+                "01",               // op[1] = Add
+                "01000000",         // m = 1
+                "00000000",         // edge from 0
+                "01000000",         // edge to 1
+                "00000000",         // 0 spectra
+                "02000000",         // 2 cuts
+                "02",               // CutKey::Classes
+                "0200000000000000", // bound = 2
+                "0000000000000000", // best_vertex = 0
+                "0100000000000000", // max_cut = 1
+                "0200000000000000", // vertices_evaluated = 2
+                "03",               // CutKey::ClassSample
+                "0002000000000000", // count = 512
+                "070c000000000000", // seed = 0xC07
+                "0200000000000000", // bound = 2
+                "0000000000000000", // best_vertex = 0
+                "0100000000000000", // max_cut = 1
+                "0200000000000000", // vertices_evaluated = 2
+                "00000000",         // 0 decompositions
+            ),
+            "codec layout changed — bump SESSION_VERSION and migrate"
+        );
+        let back = decode_session(&bytes).unwrap();
+        assert_eq!(back.graph, g);
+        assert_eq!(back.export, export);
+        // An unknown sweep tag is rejected, not misread.
+        let mut bad = bytes.clone();
+        bad[27] = 4;
+        assert!(matches!(
+            decode_session(&bad),
+            Err(CodecError::BadTag {
+                what: "cut",
+                tag: 4
+            })
+        ));
     }
 
     /// Version-1 documents — everything an existing store holds — must

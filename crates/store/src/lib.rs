@@ -151,4 +151,49 @@ mod tests {
         assert!(load_session(&store, Fingerprint(42)).unwrap().is_none());
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn per_vertex_sweep_records_are_recomputed_not_served() {
+        use graphio_baselines::convex_mincut::ConvexMinCutResult;
+        use graphio_spectral::CutKey;
+
+        let dir = tmp_dir("legacycut");
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        let g = fft_butterfly(4);
+        let fp = fingerprint(&g);
+        let fresh = OwnedAnalyzer::from_graph(g.clone());
+        warm_session(&fresh).unwrap();
+        // A session as an older build stored it: the same spectra, but the
+        // cut under the per-vertex `CutKey::All` (with a value no class
+        // sweep produces, so serving it would show).
+        let mut legacy = fresh.export();
+        legacy.cuts = vec![(
+            CutKey::All,
+            ConvexMinCutResult {
+                bound: 0,
+                best_vertex: 0,
+                max_cut: 999,
+                vertices_evaluated: g.n(),
+            },
+        )];
+        store.put(fp, &encode_session(&g, &legacy)).unwrap();
+
+        let restored = load_session(&store, fp).unwrap().expect("stored");
+        let opts = ConvexMinCutOptions::for_graph_size(g.n());
+        assert_eq!(restored.min_cut(&opts), fresh.min_cut(&opts));
+        let stats = restored.stats();
+        assert_eq!(stats.mincut_misses, 1, "recomputed: {stats:?}");
+        assert_eq!(stats.mincut_hits, 0, "never served: {stats:?}");
+        // The old record survives a re-save beside the new one.
+        save_session(&store, fp, &restored).unwrap();
+        let keys: Vec<CutKey> = decode_session(&store.get(fp).unwrap().unwrap())
+            .unwrap()
+            .export
+            .cuts
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(keys, [CutKey::All, CutKey::Classes]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
