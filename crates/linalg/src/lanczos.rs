@@ -7,15 +7,44 @@
 //! a single Krylov subspace can represent at most one Ritz pair per distinct
 //! eigenvalue. The spectral bound of Theorem 4 sums the `k` smallest
 //! eigenvalues *counting multiplicity*, so we must recover copies. Each
-//! sweep locks every converged Ritz pair at the bottom of the remaining
-//! spectrum, then restarts against the orthogonal complement of everything
-//! locked; repeated eigenvalues re-appear in later sweeps until their
-//! eigenspaces are exhausted.
+//! sweep locks converged Ritz pairs, then the next restarts against the
+//! orthogonal complement of everything locked; repeated eigenvalues
+//! re-appear in later sweeps until their eigenspaces are exhausted.
 //!
 //! The smallest eigenvalues of `A` are obtained as the *largest* of
 //! `σI − A` (σ = Gershgorin or power-iteration bound), where Lanczos
 //! converges fastest. Cost is `O(matvecs · nnz + m²n)` per sweep, matching
 //! the `O(hn²)` scalability claim of the paper's §6.5.
+//!
+//! Four rules keep the sweep count and the per-step cost down without
+//! weakening what a returned value means (a Ritz value whose residual
+//! `‖Ay − θy‖` is within `tol · scale`):
+//!
+//! * **Stop at numerical invariance.** A sweep ends as soon as `β_j` is
+//!   within that tolerance. Every Ritz residual is `β_j·|z_{j,i}| ≤ β_j`,
+//!   so *every* pair of the sweep passes the test that accepts a pair
+//!   anywhere else. Running on would only add Krylov vectors built from
+//!   rounding noise, whose spurious Ritz values interleave the converged
+//!   ones.
+//! * **Lock every wanted pair.** Every converged pair whose value can
+//!   still be among the `h` smallest is locked, not only the converged
+//!   run at the bottom; when more than `h` are locked the largest (by
+//!   count, so at most `h` vectors are ever held) is evicted back into
+//!   the complement. Skipped or evicted eigenvalues are not lost: they
+//!   stay in the deflated operator, where the stop certificate sees them.
+//! * **Stop certificate.** The solver returns only after a sweep whose
+//!   top Ritz pair is converged and lies at or above the `h`-th locked
+//!   value: nothing smaller than the locked set remains in the deflated
+//!   operator, so the `h` locked values are the `h` smallest, with
+//!   multiplicity.
+//! * **DGKS re-orthogonalization.** Each new Krylov vector gets one
+//!   classical Gram–Schmidt pass against the locked and basis vectors, and
+//!   a second only when the first cancelled more than `1 − 1/√2` of its
+//!   norm (Daniel–Gragg–Kaufman–Stewart, η = 1/√2 as in ARPACK): without
+//!   heavy cancellation one pass already leaves the vector orthogonal to
+//!   working precision, and with it two passes do ("twice is enough").
+//!   The passes run on the fused `dot4`/`axpy4` kernels, bit-identical to
+//!   the single-vector ones.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -23,7 +52,8 @@ use crate::linop::{LinOp, ShiftedNegated};
 use crate::power::power_iteration;
 use crate::tridiag::tql_in_place;
 use crate::vecops::{
-    axpy, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_parallel, scal,
+    axpy, axpy_sum, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_parallel,
+    scal,
 };
 use crate::Result;
 use rand::rngs::StdRng;
@@ -56,12 +86,12 @@ impl Default for LanczosOptions {
     }
 }
 
-/// Above this operator dimension the deflated solver bounds its CGS2
+/// Above this operator dimension the deflated solver bounds its CGS
 /// re-orthogonalization window (full re-orthogonalization is O(m²n) per
 /// sweep, which dominates everything else at scale).
 const BOUNDED_REORTH_MIN_N: usize = 1 << 18;
 
-/// CGS2 window for [`smallest_eigenvalues`] at dimension `n` — derived
+/// CGS window for [`smallest_eigenvalues`] at dimension `n` — derived
 /// from `n` alone (never an option) so a given operator always reduces
 /// the same way and cache keys stay exact.
 fn reorth_window_for(n: usize) -> usize {
@@ -148,14 +178,12 @@ pub fn extreme_ritz_values<A: LinOp + ?Sized>(
     let mut v0: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
     normalize(&mut v0);
     let steps = opts.steps.clamp(h, n);
-    let sweep = lanczos_sweep(
-        &shifted,
-        v0,
-        steps,
-        &[],
-        opts.reorth_window.max(2),
-        &mut matvecs,
-    );
+    let rule = SweepRule {
+        window: opts.reorth_window.max(2),
+        stop_tol: 0.0,
+        dgks: false,
+    };
+    let sweep = lanczos_sweep(&shifted, v0, steps, &[], &rule, &mut matvecs);
     let analysis = RitzAnalysis::of(&sweep)?;
     let m = analysis.theta.len();
     let take = h.min(m);
@@ -232,11 +260,10 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     let shifted = ShiftedNegated::new(op, sigma);
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(h);
-    let mut locked_vals: Vec<f64> = Vec::with_capacity(h);
+    let mut locked = Locked::default();
     let mut sweeps = 0usize;
     let mut subspace = opts.subspace.clamp(2, n);
-    // `locked.len() >= h` alone is NOT a sound stop: each sweep locks at
+    // `locked.len() == h` alone is NOT a sound stop: each sweep finds at
     // most one copy of each distinct eigenvalue, so with high-multiplicity
     // spectra the locked set can contain deep eigenvalues while copies of
     // shallow ones are still un-locked. We therefore also require
@@ -245,76 +272,110 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     // remains in the deflated operator.
     let mut verified = false;
     let slack = 8.0 * tol + 1e-12;
+    let rule = SweepRule {
+        window: reorth_window_for(n),
+        stop_tol: tol,
+        dgks: true,
+    };
 
     while sweeps < opts.max_sweeps {
-        if locked_vecs.len() == n {
+        if locked.len() == n {
             verified = true;
         }
-        if locked_vecs.len() >= h && verified {
+        if locked.len() == h && verified {
             break;
         }
         sweeps += 1;
-        let budget = subspace.min(n - locked_vecs.len());
-        let Some(v0) = random_orthogonal_start(n, &locked_vecs, &mut rng) else {
+        let budget = subspace.min(n - locked.len());
+        let Some(v0) = random_orthogonal_start(n, &locked.vecs, &mut rng) else {
             // The complement of the locked space is numerically exhausted.
             verified = true;
             break;
         };
-        let sweep = lanczos_sweep(
-            &shifted,
-            v0,
-            budget,
-            &locked_vecs,
-            reorth_window_for(n),
-            &mut matvecs,
-        );
+        let sweep = lanczos_sweep(&shifted, v0, budget, &locked.vecs, &rule, &mut matvecs);
         let analysis = RitzAnalysis::of(&sweep)?;
-        if locked_vecs.len() >= h {
+        if locked.len() == h {
             if let Some(remaining_min) = analysis.top_converged_value(tol, &shifted) {
-                let kth = kth_smallest(&locked_vals, h);
-                if remaining_min >= kth - slack {
+                if remaining_min >= locked.largest() - slack {
                     verified = true;
                     break;
                 }
             }
         }
-        let newly = lock_converged(
-            &sweep,
-            &analysis,
-            tol,
-            &shifted,
-            &mut locked_vecs,
-            &mut locked_vals,
-        );
+        let newly = lock_converged(&sweep, &analysis, tol, slack, &shifted, h, &mut locked);
         if newly == 0 {
             // Stagnation: widen the Krylov subspace (up to n) and try again.
             subspace = (subspace * 2).min(n);
         }
     }
 
-    let converged = locked_vecs.len() >= h && verified;
+    let converged = locked.len() == h && verified;
     if !converged {
         return Err(LinalgError::NoConvergence {
             algorithm: "deflated Lanczos",
             iterations: sweeps,
         });
     }
-    locked_vals.sort_by(f64::total_cmp);
-    locked_vals.truncate(h);
+    let mut values = locked.vals;
+    values.sort_by(f64::total_cmp);
     Ok(LanczosResult {
-        values: locked_vals,
+        values,
         sweeps,
         matvecs,
         converged,
     })
 }
 
-/// The h-th smallest element (1-indexed: `h >= 1`) of `vals`.
-fn kth_smallest(vals: &[f64], h: usize) -> f64 {
-    let mut sorted = vals.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[h - 1]
+/// The locked eigenpairs, in locking order: at most `h` of them, because
+/// [`Locked::push`] evicts the largest value on overflow.
+#[derive(Default)]
+struct Locked {
+    vecs: Vec<Vec<f64>>,
+    vals: Vec<f64>,
 }
+
+impl Locked {
+    fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// The largest locked value (the h-th smallest once `h` are locked).
+    fn largest(&self) -> f64 {
+        self.vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Locks `(vec, val)`, then, if more than `h` are held, evicts the
+    /// largest value (the latest locked among equals).
+    fn push(&mut self, vec: Vec<f64>, val: f64, h: usize) {
+        self.vecs.push(vec);
+        self.vals.push(val);
+        if self.len() > h {
+            let (evict, _) = self
+                .vals
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .expect("more than h >= 0 values are held");
+            self.vecs.remove(evict);
+            self.vals.remove(evict);
+        }
+    }
+}
+
+/// How one sweep ends and re-orthogonalizes.
+struct SweepRule {
+    /// CGS window: each new basis vector is orthogonalized against the
+    /// trailing `window` basis vectors (and every locked vector).
+    window: usize,
+    /// The sweep ends once `β_j ≤ stop_tol` (or falls to rounding level).
+    stop_tol: f64,
+    /// Second CGS pass only when the DGKS test asks; otherwise always two.
+    dgks: bool,
+}
+
+/// DGKS threshold: a first Gram–Schmidt pass that keeps at least this
+/// fraction of the vector's norm needs no second pass.
+const DGKS_ETA: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// Raw output of one Lanczos sweep.
 struct Sweep {
@@ -325,8 +386,9 @@ struct Sweep {
     /// Off-diagonal (`betas[j]` couples steps `j` and `j+1`); the final
     /// entry is the residual norm used in convergence estimates.
     betas: Vec<f64>,
-    /// Whether the sweep terminated with an (numerically) invariant
-    /// subspace, making every Ritz pair exact.
+    /// Whether the sweep ended with `β` within its stop tolerance: the
+    /// subspace is invariant to that tolerance, and so is every Ritz
+    /// residual (`β·|z_{m,i}| ≤ β`).
     invariant: bool,
 }
 
@@ -335,7 +397,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
     v0: Vec<f64>,
     budget: usize,
     locked: &[Vec<f64>],
-    window: usize,
+    rule: &SweepRule,
     matvecs: &mut usize,
 ) -> Sweep {
     let n = v0.len();
@@ -345,6 +407,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
     let mut v = v0;
     let mut w = vec![0.0; n];
     let mut invariant = false;
+    let threads = crate::threads::effective_threads();
 
     for j in 0..budget {
         basis.push(v.clone());
@@ -357,27 +420,31 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
             let beta_prev = betas[j - 1];
             axpy(-beta_prev, &basis[j - 1], &mut w);
         }
-        // Re-orthogonalization, two passes ("twice is enough"). The
-        // parallel variant is one classical GS pass; two of them (CGS2)
-        // restore orthogonality to machine precision, and this O(m·n) sweep
+        // Classical Gram–Schmidt re-orthogonalization: one pass, and a
+        // second where the DGKS test (or the rule) asks. This O(m·n) step
         // is the Lanczos bottleneck on large graphs — which is why huge
         // operators bound the window to the trailing basis vectors (locked
         // vectors are always swept in full; there are at most `h`).
-        let threads = crate::threads::effective_threads();
-        let w0 = basis.len().saturating_sub(window);
-        for _ in 0..2 {
+        let w0 = basis.len().saturating_sub(rule.window);
+        let before = if rule.dgks { norm2(&w) } else { 0.0 };
+        orthogonalize_against_parallel(&mut w, locked, threads);
+        orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+        let mut beta = norm2(&w);
+        if !rule.dgks || beta < DGKS_ETA * before {
+            crate::stats::record_reorth_second_pass();
             orthogonalize_against_parallel(&mut w, locked, threads);
             orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+            beta = norm2(&w);
         }
-        let beta = norm2(&w);
         betas.push(beta);
-        if beta <= f64::EPSILON * 64.0 * (1.0 + alpha.abs()) {
+        if beta <= rule.stop_tol.max(f64::EPSILON * 64.0 * (1.0 + alpha.abs())) {
             invariant = true;
             break;
         }
         scal(1.0 / beta, &mut w);
         std::mem::swap(&mut v, &mut w);
     }
+    crate::stats::record_lanczos_sweep(alphas.len());
     Sweep {
         basis,
         alphas,
@@ -395,7 +462,7 @@ struct RitzAnalysis {
     z: DenseMatrix,
     /// Final off-diagonal entry (0 when the subspace is invariant).
     beta_last: f64,
-    /// Whether the sweep hit an invariant subspace (all pairs exact).
+    /// Whether the sweep hit an invariant subspace (all pairs converged).
     invariant: bool,
 }
 
@@ -422,9 +489,11 @@ impl RitzAnalysis {
         })
     }
 
-    fn residual(&self, idx: usize) -> f64 {
+    /// Whether Ritz pair `idx` passes the residual test
+    /// `‖Ay − θy‖ = β_last·|z_{m,idx}| ≤ tol`.
+    fn converged(&self, idx: usize, tol: f64) -> bool {
         let m = self.theta.len();
-        (self.beta_last * self.z[(m - 1, idx)]).abs()
+        self.invariant || (self.beta_last * self.z[(m - 1, idx)]).abs() <= tol
     }
 
     /// If the top Ritz pair is converged, the smallest eigenvalue of the
@@ -438,7 +507,7 @@ impl RitzAnalysis {
         if m == 0 {
             return None;
         }
-        if self.invariant || self.residual(m - 1) <= tol {
+        if self.converged(m - 1, tol) {
             Some(shifted.unshift(self.theta[m - 1]))
         } else {
             None
@@ -446,40 +515,45 @@ impl RitzAnalysis {
     }
 }
 
-/// Locks converged Ritz pairs from the *top* of the shifted spectrum (the
-/// bottom of the original), stopping at the first unconverged pair so the
-/// locked set never skips an eigenvalue. Returns the number locked.
+/// Locks every converged Ritz pair whose value can still be among the `h`
+/// smallest, bottom of the original spectrum first: while fewer than `h`
+/// are locked any converged value qualifies, afterwards only one below the
+/// `h`-th locked value by more than `slack` (so values tied with it do
+/// not churn), each evicting the largest. Returns the number locked.
 fn lock_converged<A: LinOp + ?Sized>(
     sweep: &Sweep,
     analysis: &RitzAnalysis,
     tol: f64,
+    slack: f64,
     shifted: &ShiftedNegated<'_, A>,
-    locked_vecs: &mut Vec<Vec<f64>>,
-    locked_vals: &mut Vec<f64>,
+    h: usize,
+    locked: &mut Locked,
 ) -> usize {
     let m = analysis.theta.len();
-    if m == 0 {
-        return 0;
-    }
-    let z = &analysis.z;
-    let n = sweep.basis[0].len();
+    let n = sweep.basis.first().map_or(0, Vec::len);
+    let mut coeffs = vec![0.0; m];
     let mut newly = 0usize;
     for idx in (0..m).rev() {
-        if analysis.residual(idx) > tol && !analysis.invariant {
+        if !analysis.converged(idx, tol) {
+            continue;
+        }
+        let value = shifted.unshift(analysis.theta[idx]);
+        if locked.len() == h && value >= locked.largest() - slack {
+            // Values only grow from here on, and the bar only drops.
             break;
         }
         // Assemble the Ritz vector y = V z_idx.
-        let mut y = vec![0.0; n];
-        for (jj, basis_v) in sweep.basis.iter().enumerate() {
-            axpy(z[(jj, idx)], basis_v, &mut y);
+        for (jj, c) in coeffs.iter_mut().enumerate() {
+            *c = analysis.z[(jj, idx)];
         }
-        orthogonalize_against(&mut y, locked_vecs);
+        let mut y = vec![0.0; n];
+        axpy_sum(&coeffs, &sweep.basis, &mut y);
+        orthogonalize_against(&mut y, &locked.vecs);
         if normalize(&mut y) < 1e-6 {
             // Numerically dependent on already-locked vectors; skip it.
             continue;
         }
-        locked_vecs.push(y);
-        locked_vals.push(shifted.unshift(analysis.theta[idx]));
+        locked.push(y, value, h);
         newly += 1;
     }
     newly
@@ -677,6 +751,43 @@ mod tests {
             extreme_ritz_values(&a, 5, &RitzSweepOptions::default()),
             Err(LinalgError::TooManyEigenvaluesRequested { .. })
         ));
+    }
+
+    #[test]
+    fn sweep_stops_at_numerical_invariance() {
+        // Q_5's Laplacian has six distinct eigenvalues, so the Krylov
+        // space of any start vector is invariant after six steps: the
+        // sweep must end there, not run on into rounding noise.
+        let a = hypercube_laplacian(5);
+        let mut rng = StdRng::seed_from_u64(3);
+        let v0 = random_orthogonal_start(32, &[], &mut rng).unwrap();
+        let rule = SweepRule {
+            window: usize::MAX,
+            stop_tol: 1e-8,
+            dgks: true,
+        };
+        let mut matvecs = 0;
+        let sweep = lanczos_sweep(&a, v0, 32, &[], &rule, &mut matvecs);
+        assert!(sweep.invariant);
+        assert_eq!(sweep.alphas.len(), 6);
+        assert_eq!(matvecs, 6);
+        let analysis = RitzAnalysis::of(&sweep).unwrap();
+        assert!((0..6).all(|i| analysis.converged(i, 1e-9)));
+    }
+
+    #[test]
+    fn locked_set_holds_at_most_h_and_evicts_the_largest() {
+        let mut locked = Locked::default();
+        for (i, v) in [3.0, 1.0, 4.0, 1.0, 5.0, 0.5].into_iter().enumerate() {
+            locked.push(vec![i as f64], v, 3);
+            assert!(locked.len() <= 3);
+        }
+        assert_eq!(locked.vals, [1.0, 1.0, 0.5]);
+        assert_eq!(locked.vecs, [vec![1.0], vec![3.0], vec![5.0]]);
+        assert_eq!(locked.largest(), 1.0);
+        // Among equal largest values the latest locked goes first.
+        locked.push(vec![6.0], 0.25, 3);
+        assert_eq!(locked.vals, [1.0, 0.5, 0.25]);
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!   scalar and vector form — no FMA contraction (a fused multiply-add
 //!   rounds once where `mul` + `add` round twice, so `Strict` never emits
 //!   it). These are bit-identical under every policy.
+//! * **Fused kernels** (`dot4`, `axpy4`) stream one vector against four
+//!   others in a single pass. Each of the four results replays, operation
+//!   for operation, the single-vector kernel it replaces (`dot4` keeps four
+//!   independent canonical reductions; `axpy4` applies the four updates to
+//!   each element in order), so they are bit-identical to four `dot` or
+//!   four sequential `axpy` calls under every policy.
 //! * **Dot products** use one canonical shape in both implementations:
 //!   four accumulator lanes striped over the input
 //!   (`lane j ← elements j, j+4, j+8, …`), combined as
@@ -207,6 +213,34 @@ pub fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     ((l[0] + l[1]) + (l[2] + l[3])) + tail
 }
 
+/// Scalar twin of the fused `dot4`: four canonical striped-lane
+/// reductions sharing one pass over `x`, each bit-identical to
+/// [`dot_scalar`] against its own `q`.
+pub fn dot4_scalar(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    let n = x.len();
+    let quads = n - n % 4;
+    let mut l = [[0.0f64; 4]; 4];
+    let mut i = 0;
+    while i < quads {
+        for (lk, qk) in l.iter_mut().zip(q) {
+            lk[0] += x[i] * qk[i];
+            lk[1] += x[i + 1] * qk[i + 1];
+            lk[2] += x[i + 2] * qk[i + 2];
+            lk[3] += x[i + 3] * qk[i + 3];
+        }
+        i += 4;
+    }
+    let mut out = [0.0f64; 4];
+    for ((o, lk), qk) in out.iter_mut().zip(&l).zip(q) {
+        let mut tail = 0.0;
+        for k in quads..n {
+            tail += x[k] * qk[k];
+        }
+        *o = ((lk[0] + lk[1]) + (lk[2] + lk[3])) + tail;
+    }
+    out
+}
+
 /// Reference interleaved mat-vec over blocks `first_block ..`: lane `r`
 /// of each 8-wide accumulator is row `r`, each lane summing its row's
 /// entries left to right in column order (padding steps contribute
@@ -242,6 +276,19 @@ pub(crate) fn sell_matvec_scalar(
 fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
+    }
+}
+
+/// Scalar twin of the fused `axpy4`: per element, the four `y + a·q`
+/// updates in order — exactly four sequential [`axpy_scalar`] calls.
+fn axpy4_scalar(a: [f64; 4], q: [&[f64]; 4], y: &mut [f64]) {
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut t = *yi;
+        t += a[0] * q[0][i];
+        t += a[1] * q[1][i];
+        t += a[2] * q[2][i];
+        t += a[3] * q[3][i];
+        *yi = t;
     }
 }
 
@@ -329,6 +376,39 @@ mod avx2 {
         ((l[0] + l[1]) + (l[2] + l[3])) + tail
     }
 
+    /// Fused `Strict` dot of `x` against four vectors: one 4-lane
+    /// accumulator per vector, each updated exactly like
+    /// [`dot_strict`]'s, so every result is bit-identical to it.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and every `q[k].len() == x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot4_strict(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+        let n = x.len();
+        let quads = n - n % 4;
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut i = 0;
+        while i < quads {
+            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
+            for (a, qk) in acc.iter_mut().zip(q) {
+                let qv = _mm256_loadu_pd(qk.as_ptr().add(i));
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(xv, qv));
+            }
+            i += 4;
+        }
+        let mut out = [0.0f64; 4];
+        for ((o, a), qk) in out.iter_mut().zip(acc).zip(q) {
+            let mut l = [0.0f64; 4];
+            _mm256_storeu_pd(l.as_mut_ptr(), a);
+            let mut tail = 0.0;
+            for k in quads..n {
+                tail += x[k] * qk[k];
+            }
+            *o = ((l[0] + l[1]) + (l[2] + l[3])) + tail;
+        }
+        out
+    }
+
     /// Interleaved mat-vec, two 4-lane registers per 8-row block — the
     /// same per-lane op sequence as [`super::sell_matvec_scalar`]. Steps
     /// whose 8 columns are consecutive (`c0 .. c0+8`, common for the
@@ -408,6 +488,38 @@ mod avx2 {
         }
         for k in quads..n {
             y[k] += alpha * x[k];
+        }
+    }
+
+    /// `y ← y + a₀q₀ + a₁q₁ + a₂q₂ + a₃q₃`, the four updates applied to
+    /// each element in order (element-wise; bit-identical to four
+    /// sequential [`axpy`] calls).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and every
+    /// `q[k].len() == y.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy4(a: [f64; 4], q: [&[f64]; 4], y: &mut [f64]) {
+        let n = y.len();
+        let quads = n - n % 4;
+        let av = a.map(|ak| _mm256_set1_pd(ak));
+        let mut i = 0;
+        while i < quads {
+            let mut yv = _mm256_loadu_pd(y.as_ptr().add(i));
+            for (ak, qk) in av.iter().zip(q) {
+                let qv = _mm256_loadu_pd(qk.as_ptr().add(i));
+                yv = _mm256_add_pd(yv, _mm256_mul_pd(*ak, qv));
+            }
+            _mm256_storeu_pd(y.as_mut_ptr().add(i), yv);
+            i += 4;
+        }
+        for k in quads..n {
+            let mut t = y[k];
+            t += a[0] * q[0][k];
+            t += a[1] * q[1][k];
+            t += a[2] * q[2][k];
+            t += a[3] * q[3][k];
+            y[k] = t;
         }
     }
 
@@ -548,6 +660,34 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
         Route::Fast => unsafe { avx2::dot_fast(x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => dot_scalar(x, y),
+    }
+}
+
+/// Four dot products of `x` under the active policy, each bit-identical
+/// to [`dot`] against the same vector (`Fast` runs four `Fast` dots).
+pub(crate) fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    match route(x.len()) {
+        Route::Scalar => dot4_scalar(x, q),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot`.
+        Route::Strict => unsafe { avx2::dot4_strict(x, q) },
+        #[cfg(target_arch = "x86_64")]
+        Route::Fast => q.map(|qk| unsafe { avx2::dot_fast(x, qk) }),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => dot4_scalar(x, q),
+    }
+}
+
+/// `y ← y + Σₖ a[k]·q[k]` under the active policy, bit-identical to four
+/// sequential [`axpy`] calls.
+pub(crate) fn axpy4(a: [f64; 4], q: [&[f64]; 4], y: &mut [f64]) {
+    match route(y.len()) {
+        Route::Scalar => axpy4_scalar(a, q, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot`.
+        _ => unsafe { avx2::axpy4(a, q, y) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => axpy4_scalar(a, q, y),
     }
 }
 
@@ -697,6 +837,43 @@ mod tests {
                 rank2_row_scalar(&mut y, 0.9, -1.1, &e, &x);
                 avx2::rank2_row(&mut y2, 0.9, -1.1, &e, &x);
                 assert_eq!(y, y2, "rank2 n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_scalar_twins_match_unfused_kernels() {
+        for n in 0..40usize {
+            let (x, y0) = vecs(n);
+            let q: Vec<Vec<f64>> = (0..4)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| ((i * (k + 2)) as f64 * 0.29).sin())
+                        .collect()
+                })
+                .collect();
+            let qs = [&q[0][..], &q[1][..], &q[2][..], &q[3][..]];
+            let fused = dot4_scalar(&x, qs);
+            for k in 0..4 {
+                assert_eq!(fused[k], dot_scalar(&x, qs[k]), "dot4 n={n} k={k}");
+            }
+            let a = [0.37, -1.25, 2.5e-3, -0.81];
+            let mut y = y0.clone();
+            axpy4_scalar(a, qs, &mut y);
+            let mut y_ref = y0.clone();
+            for k in 0..4 {
+                axpy_scalar(a[k], qs[k], &mut y_ref);
+            }
+            assert_eq!(y, y_ref, "axpy4 n={n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                // SAFETY: guarded by avx2_available(); equal lengths.
+                unsafe {
+                    assert_eq!(avx2::dot4_strict(&x, qs), fused, "avx2 dot4 n={n}");
+                    let mut y2 = y0.clone();
+                    avx2::axpy4(a, qs, &mut y2);
+                    assert_eq!(y2, y, "avx2 axpy4 n={n}");
+                }
             }
         }
     }

@@ -7,7 +7,9 @@
 //! ticks two more (kernel entries that dispatched to vector code, and
 //! entries that wanted vector code but fell back to scalar), and the
 //! spectral scale tier ticks one per non-dense eigensolve, so `/stats`
-//! and tests can assert which path ran. Counters are never reset; callers
+//! and tests can assert which path ran. The Lanczos sweep ticks three
+//! more — sweeps, steps, and second re-orthogonalization passes — so a
+//! slow solve is explainable from `/metrics`. Counters are never reset; callers
 //! measure deltas. Reads and writes are `Relaxed`: the counters order
 //! nothing, and a mat-vec costs orders of magnitude more than the
 //! increment.
@@ -19,6 +21,9 @@ static DENSE_EIGENSOLVES: AtomicU64 = AtomicU64::new(0);
 static SIMD_KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static SCALE_TIER_SOLVES: AtomicU64 = AtomicU64::new(0);
+static LANCZOS_SWEEPS: AtomicU64 = AtomicU64::new(0);
+static LANCZOS_STEPS: AtomicU64 = AtomicU64::new(0);
+static REORTH_SECOND_PASSES: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn record_sparse_matvec() {
     SPARSE_MATVECS.fetch_add(1, Ordering::Relaxed);
@@ -34,6 +39,16 @@ pub(crate) fn record_simd_kernel_call() {
 
 pub(crate) fn record_scalar_fallback() {
     SCALAR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Records one finished Lanczos sweep of `steps` steps (one mat-vec each).
+pub(crate) fn record_lanczos_sweep(steps: usize) {
+    LANCZOS_SWEEPS.fetch_add(1, Ordering::Relaxed);
+    LANCZOS_STEPS.fetch_add(steps as u64, Ordering::Relaxed);
+}
+
+pub(crate) fn record_reorth_second_pass() {
+    REORTH_SECOND_PASSES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one eigensolve dispatched through the sparse scale tier
@@ -70,6 +85,22 @@ pub fn scale_tier_solve_count() -> u64 {
     SCALE_TIER_SOLVES.load(Ordering::Relaxed)
 }
 
+/// Total Lanczos sweeps (restarts included) so far in this process.
+pub fn lanczos_sweep_count() -> u64 {
+    LANCZOS_SWEEPS.load(Ordering::Relaxed)
+}
+
+/// Total Lanczos steps (one operator application each) so far.
+pub fn lanczos_step_count() -> u64 {
+    LANCZOS_STEPS.load(Ordering::Relaxed)
+}
+
+/// Total second classical Gram–Schmidt passes the Lanczos sweeps ran
+/// (the DGKS test asked for one, or the sweep always runs two).
+pub fn reorth_second_pass_count() -> u64 {
+    REORTH_SECOND_PASSES.load(Ordering::Relaxed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,5 +123,12 @@ mod tests {
         let before = scale_tier_solve_count();
         record_scale_tier_solve();
         assert!(scale_tier_solve_count() > before);
+        let (sweeps, steps) = (lanczos_sweep_count(), lanczos_step_count());
+        record_lanczos_sweep(5);
+        assert!(lanczos_sweep_count() > sweeps);
+        assert!(lanczos_step_count() >= steps + 5);
+        let before = reorth_second_pass_count();
+        record_reorth_second_pass();
+        assert!(reorth_second_pass_count() > before);
     }
 }

@@ -32,6 +32,70 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     crate::simd::axpy(alpha, x, y);
 }
 
+/// Four dot products `xᵀq₀ … xᵀq₃` in one pass over `x`, each
+/// bit-identical to [`dot`] against the same vector.
+///
+/// # Panics
+/// Panics if any `q[k]` differs in length from `x`.
+pub fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    assert!(
+        q.iter().all(|qk| qk.len() == x.len()),
+        "dot4: length mismatch"
+    );
+    crate::simd::dot4(x, q)
+}
+
+/// `y ← y + a₀q₀ + a₁q₁ + a₂q₂ + a₃q₃` in one pass over `y`,
+/// bit-identical to four sequential [`axpy`] calls.
+///
+/// # Panics
+/// Panics if any `q[k]` differs in length from `y`.
+pub fn axpy4(a: [f64; 4], q: [&[f64]; 4], y: &mut [f64]) {
+    assert!(
+        q.iter().all(|qk| qk.len() == y.len()),
+        "axpy4: length mismatch"
+    );
+    crate::simd::axpy4(a, q, y);
+}
+
+/// `y ← y + Σⱼ coeffs[j] · basis[j][lo .. lo + y.len()]`, accumulated in
+/// ascending `j` (bit-identical to a loop of [`axpy`]) through the fused
+/// [`axpy4`] kernel.
+fn axpy_sum_at(coeffs: &[f64], basis: &[Vec<f64>], lo: usize, y: &mut [f64]) {
+    let hi = lo + y.len();
+    for (c, q) in coeffs.chunks_exact(4).zip(basis.chunks_exact(4)) {
+        let q = [&q[0][lo..hi], &q[1][lo..hi], &q[2][lo..hi], &q[3][lo..hi]];
+        axpy4([c[0], c[1], c[2], c[3]], q, y);
+    }
+    let done = coeffs.len() - coeffs.len() % 4;
+    for (c, q) in coeffs[done..].iter().zip(&basis[done..]) {
+        axpy(*c, &q[lo..hi], y);
+    }
+}
+
+/// `y ← y + Σⱼ coeffs[j] · basis[j]`, accumulated in ascending `j`:
+/// bit-identical to a loop of [`axpy`], at about half the memory traffic.
+///
+/// # Panics
+/// Panics if `coeffs` and `basis` differ in length, or a basis vector
+/// differs in length from `y`.
+pub fn axpy_sum(coeffs: &[f64], basis: &[Vec<f64>], y: &mut [f64]) {
+    assert_eq!(coeffs.len(), basis.len(), "axpy_sum: length mismatch");
+    axpy_sum_at(coeffs, basis, 0, y);
+}
+
+/// `out[j] ← vᵀbasis[j]` through the fused [`dot4`] kernel (bit-identical
+/// to one [`dot`] per vector).
+fn dots_into(v: &[f64], basis: &[Vec<f64>], out: &mut [f64]) {
+    for (c, q) in out.chunks_exact_mut(4).zip(basis.chunks_exact(4)) {
+        c.copy_from_slice(&dot4(v, [&q[0], &q[1], &q[2], &q[3]]));
+    }
+    let done = out.len() - out.len() % 4;
+    for (c, q) in out[done..].iter_mut().zip(&basis[done..]) {
+        *c = dot(v, q);
+    }
+}
+
 /// Scaled add `y ← alpha * x + beta * y` (element-wise, so bit-identical
 /// under every SIMD policy).
 ///
@@ -86,8 +150,10 @@ const PARALLEL_ORTHO_THRESHOLD: usize = 1 << 16;
 
 /// Parallelizable re-orthogonalization: one *classical* Gram–Schmidt pass
 /// with all coefficients taken against the incoming `v`, then a blocked
-/// subtraction. Callers that need full orthogonality run two passes
-/// ("twice is enough", CGS2) — exactly what the Lanczos sweep already does.
+/// subtraction, both through the fused `dot4`/`axpy4` kernels. Callers
+/// that need full orthogonality run a second pass where the first
+/// cancelled heavily ("twice is enough", CGS2) — what the Lanczos sweep's
+/// DGKS test decides.
 ///
 /// Determinism: the CGS algorithm runs at **every** thread count
 /// (`threads == 1` and small inputs execute the same two phases inline,
@@ -105,12 +171,11 @@ pub fn orthogonalize_against_parallel(v: &mut [f64], basis: &[Vec<f64>], threads
     } else {
         threads.max(1)
     };
-    // Phase 1: coefficients c_j = <v, q_j>, parallel over basis vectors.
+    // Phase 1: coefficients c_j = <v, q_j>, parallel over basis vectors
+    // (negated on the way out, so phase 2 is a plain sum).
     let mut coeffs = vec![0.0f64; basis.len()];
     if threads == 1 {
-        for (c, q) in coeffs.iter_mut().zip(basis.iter()) {
-            *c = dot(v, q);
-        }
+        dots_into(v, basis, &mut coeffs);
     } else {
         let v_read: &[f64] = v;
         std::thread::scope(|s| {
@@ -121,20 +186,17 @@ pub fn orthogonalize_against_parallel(v: &mut [f64], basis: &[Vec<f64>], threads
                 rest = tail;
                 let start = offset;
                 offset += range.len();
-                s.spawn(move || {
-                    for (k, c) in chunk.iter_mut().enumerate() {
-                        *c = dot(v_read, &basis[start + k]);
-                    }
-                });
+                s.spawn(move || dots_into(v_read, &basis[start..start + chunk.len()], chunk));
             }
         });
+    }
+    for c in &mut coeffs {
+        *c = -*c;
     }
     // Phase 2: v -= Σ_j c_j q_j, parallel over segments of v; every element
     // accumulates its terms in ascending j order regardless of chunking.
     if threads == 1 {
-        for (c, q) in coeffs.iter().zip(basis.iter()) {
-            axpy(-c, q, v);
-        }
+        axpy_sum_at(&coeffs, basis, 0, v);
         return;
     }
     std::thread::scope(|s| {
@@ -146,11 +208,7 @@ pub fn orthogonalize_against_parallel(v: &mut [f64], basis: &[Vec<f64>], threads
             let seg_lo = lo;
             lo += range.len();
             let coeffs = &coeffs;
-            s.spawn(move || {
-                for (c, q) in coeffs.iter().zip(basis.iter()) {
-                    axpy(-c, &q[seg_lo..seg_lo + seg.len()], seg);
-                }
-            });
+            s.spawn(move || axpy_sum_at(coeffs, basis, seg_lo, seg));
         }
     });
 }
@@ -263,6 +321,36 @@ mod tests {
             orthogonalize_against_parallel(&mut v, &basis, threads);
             assert_eq!(v, reference, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn fused_kernels_match_unfused_loops() {
+        let n = 37;
+        let basis: Vec<Vec<f64>> = (0..7usize)
+            .map(|j| {
+                (0..n)
+                    .map(|i| ((i * (j + 2)) as f64 * 0.41).cos())
+                    .collect()
+            })
+            .collect();
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let mut out = vec![0.0; basis.len()];
+        dots_into(&v, &basis, &mut out);
+        for (c, q) in out.iter().zip(&basis) {
+            assert_eq!(*c, dot(&v, q));
+        }
+        let coeffs: Vec<f64> = (0..basis.len()).map(|j| j as f64 * 0.3 - 1.0).collect();
+        let mut fused = v.clone();
+        axpy_sum(&coeffs, &basis, &mut fused);
+        let mut looped = v.clone();
+        for (c, q) in coeffs.iter().zip(&basis) {
+            axpy(*c, q, &mut looped);
+        }
+        assert_eq!(fused, looped);
+        // A sub-range update equals the same update on the full vectors.
+        let mut seg = v[5..20].to_vec();
+        axpy_sum_at(&coeffs, &basis, 5, &mut seg);
+        assert_eq!(seg, looped[5..20]);
     }
 
     #[test]

@@ -768,10 +768,14 @@ mod tests {
     fn concurrent_writers_never_tear_reads() {
         let r = std::sync::Arc::new(Recorder::new(64));
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The reader starts only once every writer has inserted, so a
+        // reader scheduled before the writers still sees records.
+        let started = std::sync::Arc::new(std::sync::Barrier::new(9));
         let writers: Vec<_> = (0..8u64)
             .map(|t| {
                 let r = std::sync::Arc::clone(&r);
                 let stop = std::sync::Arc::clone(&stop);
+                let started = std::sync::Arc::clone(&started);
                 std::thread::spawn(move || {
                     let mut i = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -780,11 +784,15 @@ mod tests {
                         // detectable.
                         r.insert(record(trace, (t << 32) | i, 200), i.is_multiple_of(64));
                         i += 1;
+                        if i == 1 {
+                            started.wait();
+                        }
                     }
                     i
                 })
             })
             .collect();
+        started.wait();
         let mut observed = 0u64;
         for _ in 0..200 {
             for rec in r.recent(usize::MAX, 0, None) {

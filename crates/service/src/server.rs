@@ -82,8 +82,8 @@ use crate::pool::{SubmitError, WorkerPool};
 use graphio_graph::json::JsonValue;
 use graphio_graph::{fingerprint, CompGraph, Fingerprint};
 use graphio_linalg::stats::{
-    dense_eigensolve_count, scalar_fallback_count, scale_tier_solve_count, simd_kernel_call_count,
-    sparse_matvec_count,
+    dense_eigensolve_count, lanczos_step_count, lanczos_sweep_count, reorth_second_pass_count,
+    scalar_fallback_count, scale_tier_solve_count, simd_kernel_call_count, sparse_matvec_count,
 };
 use graphio_obs::recorder::{self, CacheOutcome};
 use graphio_spectral::OwnedAnalyzer;
@@ -961,6 +961,12 @@ fn handle_stats(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool) {
                     "scale_tier_solves".to_string(),
                     num(scale_tier_solve_count()),
                 ),
+                ("lanczos_sweeps".to_string(), num(lanczos_sweep_count())),
+                ("lanczos_steps".to_string(), num(lanczos_step_count())),
+                (
+                    "reorth_second_passes".to_string(),
+                    num(reorth_second_pass_count()),
+                ),
             ]),
         ),
         ("process".to_string(), process_stats_doc()),
@@ -1104,6 +1110,21 @@ fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool)
         "graphio_linalg_scale_tier_solves_total",
         &[],
         scale_tier_solve_count(),
+    );
+    m.counter(
+        "graphio_linalg_lanczos_sweeps_total",
+        &[],
+        lanczos_sweep_count(),
+    );
+    m.counter(
+        "graphio_linalg_lanczos_steps_total",
+        &[],
+        lanczos_step_count(),
+    );
+    m.counter(
+        "graphio_linalg_reorth_second_passes_total",
+        &[],
+        reorth_second_pass_count(),
     );
 
     graphio_obs::render_registered(&mut m);

@@ -103,9 +103,27 @@ pub struct SpectrumKey {
 pub enum MethodKey {
     /// The dense O(n³) solver.
     Dense,
-    /// Deflated Lanczos with every result-determining option pinned
-    /// (`tol` as raw bits so the key is `Eq`/`Hash` without float caveats).
+    /// Deflated Lanczos as older builds ran it (restart sweeps that ran to
+    /// rounding-level `β` and locked only the converged bottom run). Its
+    /// spectra differ from [`MethodKey::LanczosV2`]'s in the last ulps, so
+    /// it still decodes, and existing stores open, but
+    /// [`SpectrumKey::for_options`] never produces it: such records are
+    /// recomputed, never served.
     Lanczos {
+        /// Krylov subspace dimension.
+        subspace: usize,
+        /// Convergence tolerance, as `f64::to_bits`.
+        tol_bits: u64,
+        /// Maximum restart sweeps.
+        max_sweeps: usize,
+        /// Starting-vector seed.
+        seed: u64,
+    },
+    /// Deflated Lanczos that stops each sweep at numerical invariance,
+    /// locks every wanted converged pair and re-orthogonalizes by the DGKS
+    /// test, with every result-determining option pinned (`tol` as raw
+    /// bits so the key is `Eq`/`Hash` without float caveats).
+    LanczosV2 {
         /// Krylov subspace dimension.
         subspace: usize,
         /// Convergence tolerance, as `f64::to_bits`.
@@ -132,7 +150,7 @@ impl MethodKey {
     pub fn name(&self) -> &'static str {
         match self {
             MethodKey::Dense => "dense",
-            MethodKey::Lanczos { .. } => "lanczos",
+            MethodKey::Lanczos { .. } | MethodKey::LanczosV2 { .. } => "lanczos",
             MethodKey::RitzSweep { .. } => "ritz_sweep",
         }
     }
@@ -145,7 +163,7 @@ impl SpectrumKey {
     pub fn for_options(kind: LaplacianKind, opts: &BoundOptions, n: usize) -> Self {
         let method = match opts.resolved_method(n) {
             EigenMethod::Dense => MethodKey::Dense,
-            EigenMethod::Lanczos(o) => MethodKey::Lanczos {
+            EigenMethod::Lanczos(o) => MethodKey::LanczosV2 {
                 subspace: o.subspace,
                 tol_bits: o.tol.to_bits(),
                 max_sweeps: o.max_sweeps,

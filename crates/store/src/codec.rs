@@ -31,8 +31,13 @@
 //!                                Butterfly,BhkUpdate)
 //!           | 8:u8 payload:u32  (Custom)
 //! spectrum := key  len:u32 [eig:f64bits-u64]*len
-//! key      := kind:u8 h:u64 (0:u8 | 1:u8 subspace:u64 tol:u64
-//!                            max_sweeps:u64 seed:u64)
+//! key      := kind:u8 h:u64 method
+//! method   := 0:u8                                  (dense)
+//!           | 1:u8 subspace:u64 tol:u64 max_sweeps:u64 seed:u64
+//!                                                   (Lanczos: older builds)
+//!           | 2:u8 steps:u64 window:u64 seed:u64    (Ritz sweep)
+//!           | 3:u8 subspace:u64 tol:u64 max_sweeps:u64 seed:u64
+//!                                                   (Lanczos, revision 2)
 //! cut      := sweep bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
 //! sweep    := 0:u8 | 1:u8 count:u64 seed:u64   (per-vertex: older builds)
 //!           | 2:u8 | 3:u8 count:u64 seed:u64   (class sweep)
@@ -411,6 +416,18 @@ fn put_spectrum_key(w: &mut Writer, key: &SpectrumKey) {
             w.put_u64(*max_sweeps as u64);
             w.put_u64(*seed);
         }
+        MethodKey::LanczosV2 {
+            subspace,
+            tol_bits,
+            max_sweeps,
+            seed,
+        } => {
+            w.put_u8(3);
+            w.put_u64(*subspace as u64);
+            w.put_u64(*tol_bits);
+            w.put_u64(*max_sweeps as u64);
+            w.put_u64(*seed);
+        }
         MethodKey::RitzSweep {
             steps,
             reorth_window,
@@ -442,6 +459,12 @@ fn get_spectrum_key(r: &mut Reader<'_>) -> Result<SpectrumKey, CodecError> {
         2 => MethodKey::RitzSweep {
             steps: r.get_u64()? as usize,
             reorth_window: r.get_u64()? as usize,
+            seed: r.get_u64()?,
+        },
+        3 => MethodKey::LanczosV2 {
+            subspace: r.get_u64()? as usize,
+            tol_bits: r.get_u64()?,
+            max_sweeps: r.get_u64()? as usize,
             seed: r.get_u64()?,
         },
         tag => {
@@ -1139,6 +1162,74 @@ mod tests {
         // what an existing store's records carry. (Value pinned from the
         // implementation validated against the standard vectors above.)
         assert_eq!(crc32(&bytes), 0xFF6C_CEED);
+    }
+
+    /// Golden pin for the revision-2 Lanczos method key (tag 3), which
+    /// sits beside the older builds' Lanczos tag 1.
+    #[test]
+    fn golden_lanczos_v2_key_bytes_are_stable() {
+        let mut b = GraphBuilder::new();
+        let x = b.add_vertex(OpKind::Input);
+        let y = b.add_vertex(OpKind::Add);
+        b.add_edge(x, y);
+        let g = b.build().unwrap();
+        let export = SessionExport {
+            spectra: vec![(
+                SpectrumKey {
+                    kind: LaplacianKind::Unnormalized,
+                    h: 2,
+                    method: MethodKey::LanczosV2 {
+                        subspace: 96,
+                        tol_bits: 1e-8_f64.to_bits(),
+                        max_sweeps: 512,
+                        seed: 0x5eed,
+                    },
+                },
+                vec![0.0, 2.0],
+            )],
+            cuts: vec![],
+            decompositions: vec![],
+        };
+        let bytes = encode_session(&g, &export);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            concat!(
+                "02",               // session version
+                "02000000",         // n = 2
+                "00",               // op[0] = Input
+                "01",               // op[1] = Add
+                "01000000",         // m = 1
+                "00000000",         // edge from 0
+                "01000000",         // edge to 1
+                "01000000",         // 1 spectrum
+                "01",               // kind = Unnormalized
+                "0200000000000000", // h = 2
+                "03",               // MethodKey::LanczosV2
+                "6000000000000000", // subspace = 96
+                "3a8c30e28e79453e", // tol = 1e-8 (bits)
+                "0002000000000000", // max_sweeps = 512
+                "ed5e000000000000", // seed = 0x5eed
+                "02000000",         // 2 eigenvalues
+                "0000000000000000", // 0.0
+                "0000000000000040", // 2.0
+                "00000000",         // 0 cuts
+                "00000000",         // 0 decompositions
+            ),
+            "codec layout changed — bump SESSION_VERSION and migrate"
+        );
+        let back = decode_session(&bytes).unwrap();
+        assert_eq!(back.export, export);
+        // An unknown method tag is rejected, not misread.
+        let mut bad = bytes.clone();
+        bad[32] = 4;
+        assert!(matches!(
+            decode_session(&bad),
+            Err(CodecError::BadTag {
+                what: "method",
+                tag: 4
+            })
+        ));
     }
 
     /// Golden pin for the class-sweep cut keys (tags 2 and 3), which sit

@@ -196,4 +196,73 @@ mod tests {
         assert_eq!(keys, [CutKey::All, CutKey::Classes]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn older_lanczos_records_are_recomputed_not_served() {
+        use graphio_spectral::MethodKey;
+
+        let dir = tmp_dir("legacylanczos");
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        // Past the dense cutoff, so both spectra come from Lanczos.
+        let g = fft_butterfly(7);
+        let fp = fingerprint(&g);
+        let fresh = OwnedAnalyzer::from_graph(g.clone());
+        warm_session(&fresh).unwrap();
+        let current = fresh.export();
+        assert!(current
+            .spectra
+            .iter()
+            .all(|(key, _)| matches!(key.method, MethodKey::LanczosV2 { .. })));
+        // The session as an older build stored it: the spectra under the
+        // first Lanczos key, with values no solver produces, so serving
+        // them would show.
+        let mut legacy = current.clone();
+        for (key, values) in &mut legacy.spectra {
+            let MethodKey::LanczosV2 {
+                subspace,
+                tol_bits,
+                max_sweeps,
+                seed,
+            } = key.method
+            else {
+                unreachable!()
+            };
+            key.method = MethodKey::Lanczos {
+                subspace,
+                tol_bits,
+                max_sweeps,
+                seed,
+            };
+            values.iter_mut().for_each(|v| *v += 1.0);
+        }
+        store.put(fp, &encode_session(&g, &legacy)).unwrap();
+
+        let restored = load_session(&store, fp).unwrap().expect("stored");
+        let opts = restored.default_options();
+        for m in [4usize, 16] {
+            let want = fresh.bound(m, &opts).unwrap();
+            let got = restored.bound(m, &opts).unwrap();
+            assert_eq!(got.bound.to_bits(), want.bound.to_bits());
+        }
+        let stats = restored.stats();
+        assert_eq!(stats.spectrum_misses, 1, "recomputed: {stats:?}");
+        // The old records survive a re-save beside the new one.
+        save_session(&store, fp, &restored).unwrap();
+        let methods: Vec<MethodKey> = decode_session(&store.get(fp).unwrap().unwrap())
+            .unwrap()
+            .export
+            .spectra
+            .into_iter()
+            .map(|(key, _)| key.method)
+            .collect();
+        assert_eq!(methods.len(), 3);
+        assert_eq!(
+            methods
+                .iter()
+                .filter(|m| matches!(m, MethodKey::Lanczos { .. }))
+                .count(),
+            2
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

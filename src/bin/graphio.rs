@@ -276,6 +276,21 @@ fn cmd_generate(args: &[String]) {
     });
     let seed: u64 = parsed.parse_flag("--seed").unwrap_or(0);
     let p: f64 = parsed.parse_flag("--p").unwrap_or(0.1);
+    if !(0.0..=1.0).contains(&p) {
+        eprintln!("error: invalid value {p} for --p in `graphio generate` (needs 0 <= p <= 1)");
+        usage()
+    }
+    // The generators assert their preconditions; reject what they would
+    // panic on before calling them.
+    let needs = match family.as_str() {
+        "strassen" if !size.is_power_of_two() => Some("a power of two"),
+        "matmul" | "inner" | "diamond" if size == 0 => Some("at least 1"),
+        _ => None,
+    };
+    if let Some(needs) = needs {
+        eprintln!("error: invalid size {size} for `graphio generate {family}` (needs {needs})");
+        usage()
+    }
     let g = match family.as_str() {
         "fft" => fft_butterfly(size),
         "bhk" => bhk_hypercube(size),

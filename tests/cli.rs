@@ -160,6 +160,55 @@ fn unknown_family_prints_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
 
+/// `graphio generate` with a size its family cannot build exits with the
+/// usage status (2) and an error naming the size and the subcommand,
+/// never a panic.
+fn assert_generate_rejects(args: &[&str], family: &str) {
+    let out = cli().arg("generate").args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("`graphio generate {family}`")) && stderr.contains("usage"),
+        "{args:?} must blame the size and subcommand: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} must print no graph");
+}
+
+#[test]
+fn generate_rejects_strassen_size_not_a_power_of_two() {
+    assert_generate_rejects(&["strassen", "3"], "strassen");
+}
+
+#[test]
+fn generate_rejects_matmul_size_zero() {
+    assert_generate_rejects(&["matmul", "0"], "matmul");
+}
+
+#[test]
+fn generate_rejects_diamond_size_zero() {
+    assert_generate_rejects(&["diamond", "0"], "diamond");
+}
+
+#[test]
+fn generate_rejects_inner_size_zero() {
+    assert_generate_rejects(&["inner", "0"], "inner");
+}
+
+#[test]
+fn generate_rejects_probability_out_of_range() {
+    let out = cli()
+        .args(["generate", "er", "5", "--p", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--p") && stderr.contains("`graphio generate`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn unknown_flags_are_rejected_everywhere() {
     let json = generate("fft", 3);
